@@ -11,9 +11,10 @@ sharded corpus subsystem at that scale and holds it to four contracts:
   measured on the same single-connection SQLite store kind --
   registration path only, best of three paired runs, since sub-second
   single-shot SQLite timings are fsync-noise dominated;
-* **exactness** -- sharded top-k scores equal the unsharded engine's to
-  1e-9 at 1k and at 10k (the implementation is bit-identical; the bench
-  asserts the looser published tolerance);
+* **exactness** -- sharded top-k scores equal the unpruned referee's
+  (``SchemaSearchEngine`` over one ``SchemaIndex`` of the same
+  fingerprints) to 1e-9 at 1k and at 10k (the implementation is
+  bit-identical; the bench asserts the looser published tolerance);
 * **flat retrieval** -- p50 ``top_candidates`` latency grows <= 1.5x
   from 1k to 10k schemata.  The corpus scales by ADDING domains at
   constant domain size (:func:`~repro.synthetic.generate_scaled_corpus`
@@ -29,10 +30,12 @@ sharded corpus subsystem at that scale and holds it to four contracts:
 import statistics
 import threading
 import time
+from collections import Counter
 
-from repro.corpus import CorpusIndex, CorpusRefreshWorker, ShardedCorpusIndex, bulk_ingest
+from repro.corpus import CorpusIndex, CorpusRefreshWorker, bulk_ingest
 from repro.repository import MetadataRepository
 from repro.schema.serialize import schema_from_dict, schema_to_dict
+from repro.search import SchemaIndex, SchemaQuery, SchemaSearchEngine
 from repro.synthetic import generate_scaled_corpus
 
 N_SMALL = 1_000
@@ -54,6 +57,16 @@ def _p50(seconds: list[float]) -> float:
 def _query_names(corpus, n_queries: int) -> list[str]:
     step = max(1, len(corpus.names) // n_queries)
     return corpus.names[::step][:n_queries]
+
+
+def _referee(repository) -> SchemaSearchEngine:
+    """Unpruned BM25 over ONE index of the repository's fingerprints."""
+    names = repository.schema_names()
+    fingerprints = repository.get_fingerprints(names)
+    index = SchemaIndex()
+    for name in names:
+        index.add_entry(name, Counter(fingerprints[name]["terms"]))
+    return SchemaSearchEngine(index)
 
 
 def _measure_queries(index, corpus, names: list[str]) -> list[float]:
@@ -133,20 +146,22 @@ def test_e21_sharded_corpus(tmp_path, report_factory):
     bulk_ingest(small_repo, (g.schema for g in small.schemata), fingerprint=True)
 
     with MetadataRepository(path=bulk_path) as large_repo:
-        flat_small, flat_large = CorpusIndex(small_repo), CorpusIndex(large_repo)
-        sharded_small = ShardedCorpusIndex(small_repo, n_shards=N_SHARDS)
-        sharded_large = ShardedCorpusIndex(large_repo, n_shards=N_SHARDS)
-        for index in (flat_small, flat_large, sharded_small, sharded_large):
+        sharded_small = CorpusIndex(small_repo, n_shards=N_SHARDS)
+        sharded_large = CorpusIndex(large_repo, n_shards=N_SHARDS)
+        for index in (sharded_small, sharded_large):
             index.refresh()
 
         worst = 0.0
-        for corpus, flat, sharded, n_queries in (
-            (small, flat_small, sharded_small, 6),
-            (large, flat_large, sharded_large, 4),
+        for corpus, repo, sharded, n_queries in (
+            (small, small_repo, sharded_small, 6),
+            (large, large_repo, sharded_large, 4),
         ):
+            referee = _referee(repo)
             for name in _query_names(corpus, n_queries):
                 query = corpus.by_name(name).schema
-                expected = flat.top_candidates(query, limit=TOP_K, exclude=name)
+                expected = referee.search(
+                    SchemaQuery(query), limit=TOP_K, exclude=name
+                )
                 actual = sharded.top_candidates(query, limit=TOP_K, exclude=name)
                 assert [h.schema_name for h in actual] == [
                     h.schema_name for h in expected

@@ -506,7 +506,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise _fail(
             f"--refresh-interval must be positive, got {args.refresh_interval}"
         )
-    if args.corpus_shards is not None and args.corpus_shards < 1:
+    if args.corpus_shards < 1:
         raise _fail(f"--corpus-shards must be >= 1, got {args.corpus_shards}")
     if args.slow_ms < 0:
         raise _fail(f"--slow-ms must be >= 0, got {args.slow_ms}")
@@ -980,9 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: refresh synchronously on the query path)",
     )
     serve_parser.add_argument(
-        "--corpus-shards", type=int, default=None,
+        "--corpus-shards", type=int, default=1,
         help="partition the corpus index into N hash-range shards "
-             "(default: one unsharded index; retrieval is exact either way)",
+             "(default: 1, unsharded; retrieval is exact either way)",
     )
     serve_parser.add_argument(
         "--cache-url", default=None, metavar="HOST:PORT",

@@ -2,12 +2,11 @@
 
 The glue between the metadata repository (schemata + match knowledge) and
 the match service: :class:`CorpusIndex` keeps a lazily refreshed,
-fingerprint-persisted inverted index over every registered schema and
-serves the top-k retrieval stage of ``MatchService.corpus_match``.
-:class:`ShardedCorpusIndex` is the partitioned variant (exact merged
-retrieval, per-shard refresh, optional :class:`CorpusRefreshWorker`
-keeping shards warm off the request path), and :func:`bulk_ingest` is
-the batched registration pipeline behind ``repro ingest``.  See
+fingerprint-persisted, hash-range sharded inverted index over every
+registered schema (one shard by default) and serves the top-k retrieval
+stage of ``MatchService.corpus_match``.  :class:`CorpusRefreshWorker`
+keeps it warm off the request path, and :func:`bulk_ingest` is the
+batched registration pipeline behind ``repro ingest``.  See
 ``docs/repository.md`` and ``docs/serving.md``.
 """
 
@@ -15,16 +14,12 @@ from repro.corpus.index import (
     FINGERPRINT_FORMAT_VERSION,
     CorpusIndex,
     CorpusRefresh,
-    build_fingerprint,
-)
-from repro.corpus.ingest import IngestReport, bulk_ingest, iter_schema_payloads
-from repro.corpus.sharding import (
-    CorpusRefreshWorker,
-    RefreshWorkerStats,
-    ShardedCorpusIndex,
     ShardStats,
+    build_fingerprint,
     shard_of_name,
 )
+from repro.corpus.ingest import IngestReport, bulk_ingest, iter_schema_payloads
+from repro.corpus.worker import CorpusRefreshWorker, RefreshWorkerStats
 
 __all__ = [
     "FINGERPRINT_FORMAT_VERSION",
@@ -34,7 +29,6 @@ __all__ = [
     "IngestReport",
     "RefreshWorkerStats",
     "ShardStats",
-    "ShardedCorpusIndex",
     "build_fingerprint",
     "bulk_ingest",
     "iter_schema_payloads",

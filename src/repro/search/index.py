@@ -149,8 +149,8 @@ class SchemaIndex:
     def posting(self, term: str) -> frozenset[str] | set[str]:
         """The names using a term (the live set -- callers must not mutate).
 
-        The sharded corpus scorer walks postings directly to merge shard
-        statistics without copying; everyone else should prefer
+        The corpus index's merged scorer walks postings directly to merge
+        shard statistics without copying; everyone else should prefer
         :meth:`candidates`.
         """
         return self._postings.get(term, frozenset())

@@ -202,6 +202,9 @@ class MatchServer(ThreadingHTTPServer):
     #: ``server_close`` instead of being killed with the process.
     daemon_threads = False
     block_on_close = True
+    #: Listen backlog, the same as the prefork listener's: socketserver's
+    #: default of 5 resets connections under a burst of concurrent clients.
+    request_queue_size = 128
 
     def __init__(
         self,

@@ -63,7 +63,7 @@ def _worker_main(
     busy_timeout: float,
     quiet: bool,
     refresh_interval: float | None = None,
-    corpus_shards: int | None = None,
+    corpus_shards: int = 1,
     cache_url: str | None = None,
     cache_tier: str = "auto",
     cache_timeout: float = 1.0,
@@ -156,7 +156,7 @@ def serve_process_pool(
     quiet: bool = True,
     announce: Callable[[str, int], None] | None = None,
     refresh_interval: float | None = None,
-    corpus_shards: int | None = None,
+    corpus_shards: int = 1,
     cache_url: str | None = None,
     cache_tier: str = "auto",
     cache_timeout: float = 1.0,
@@ -190,6 +190,10 @@ def serve_process_pool(
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
         listener.listen(128)
+        # Non-blocking: every worker's selector wakes for one connection,
+        # and only one wins accept(); the others must get EAGAIN back
+        # instead of parking in accept() past their shutdown flag.
+        listener.setblocking(False)
         bound_port = listener.getsockname()[1]
 
         workers: list[int] = []

@@ -9,9 +9,11 @@ HTTP, and asserts on the parent's exit status and output.
 Covered: the announce/round-trip/SIGTERM lifecycle; answers identical to
 a direct in-process MatchService (the serving tier must never change
 scores); cross-process cache invalidation (a write from THIS process is
-seen by every worker's next response); SIGINT; a SIGKILLed worker taking
-the pool down with status 1; and the exit-2 validation of every bad flag
-combination.  Bench E20 measures the same tier under load.
+seen by every worker's next response); SIGINT; SIGTERM right after a
+burst of posting clients, and the non-blocking shared listener that makes
+it safe; a SIGKILLed worker taking the pool down with status 1; and the
+exit-2 validation of every bad flag combination.  Bench E20 measures the
+same tier under load.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 from pathlib import Path
@@ -207,6 +210,69 @@ class TestProcessPoolServing:
         pool.client.health()
         assert pool.stop(signal.SIGINT) == 0
         assert "stopped cleanly" in pool.output
+
+    def test_sigterm_after_load_exits_cleanly_within_5s(self, tmp_path):
+        # Both workers' selectors wake for each connection and only one
+        # wins accept().  With a blocking listener the loser parked in
+        # accept() and, once the posting stopped, never saw its shutdown
+        # flag.  SIGTERM lands right after the client loop stops: a
+        # connection arriving after it would unpark the loser and hide the
+        # hang.  Which worker parks is a race, so a few rounds.
+        db_path = str(tmp_path / "load.db")
+        names = _seed(db_path)
+        request = MatchRequest(source=names[0], target=names[1])
+        for _ in range(3):
+            pool = _Pool(db_path, workers=2)
+            served = threading.Semaphore(0)
+            stop = threading.Event()
+
+            def post_loop():
+                while not stop.is_set():
+                    pool.client.match(request)
+                    served.release()
+
+            clients = [threading.Thread(target=post_loop) for _ in range(8)]
+            try:
+                for client in clients:
+                    client.start()
+                for _ in range(80):
+                    assert served.acquire(timeout=60)
+                stop.set()
+                for client in clients:
+                    client.join(timeout=60)
+                    assert not client.is_alive()
+                started = time.perf_counter()
+                status = pool.stop(timeout=5.0)
+                elapsed = time.perf_counter() - started
+            finally:
+                stop.set()
+                pool.kill()
+            assert status == 0, pool.output
+            assert elapsed <= 5.0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/net/tcp"), reason="reads Linux procfs"
+    )
+    def test_workers_share_a_non_blocking_listener(self, pool):
+        # The deterministic half of the test above: the race needs a
+        # parked worker, but the fix is the listener's O_NONBLOCK flag,
+        # which lives on the socket every worker inherited.
+        port = int(pool.client.base_url.rsplit(":", 1)[1])
+        with open("/proc/net/tcp") as table:
+            rows = [line.split() for line in list(table)[1:]]
+        inode = next(
+            row[9]
+            for row in rows
+            if row[3] == "0A" and int(row[1].split(":")[1], 16) == port
+        )
+        worker = pool.worker_pids()[0]
+        for fd in os.listdir(f"/proc/{worker}/fd"):
+            if os.readlink(f"/proc/{worker}/fd/{fd}") == f"socket:[{inode}]":
+                with open(f"/proc/{worker}/fdinfo/{fd}") as info:
+                    flags = int(info.read().split("flags:")[1].split()[0], 8)
+                assert flags & os.O_NONBLOCK
+                return
+        pytest.fail(f"worker {worker} holds no listener on port {port}")
 
     def test_killed_worker_takes_the_pool_down_with_status_1(self, pool):
         pool.client.health()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -357,6 +358,48 @@ class TestMatchServer:
         # The cached-response replay does not double-count oracle spend.
         client.match(request)
         assert client.metrics()["cascade"]["requests"] == 1
+
+
+class TestConnectionBurst:
+    """Overload degrades predictably: a burst of concurrent connections
+    queues in the listen backlog instead of being reset."""
+
+    N_CONNECTIONS = 32
+
+    def test_every_connection_of_a_burst_is_served(self, served):
+        server, _, _ = served
+        opened = threading.Barrier(self.N_CONNECTIONS)
+        statuses: list[int] = []
+        errors: list[BaseException] = []
+
+        def one_request():
+            try:
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=30
+                )
+                opened.wait(timeout=30)  # every socket connects at once
+                connection.connect()
+                connection.request(
+                    "POST", "/match", body=b'{"source": "D0S0", "target": "D0S1"}'
+                )
+                response = connection.getresponse()
+                response.read()
+                statuses.append(response.status)
+                connection.close()
+            except Exception as exc:  # ConnectionResetError is the bug
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=one_request)
+            for _ in range(self.N_CONNECTIONS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert statuses == [200] * self.N_CONNECTIONS
 
 
 class TestCacheInvalidationOverHttp:

@@ -1,11 +1,12 @@
-"""The sharded corpus subsystem: partitioned retrieval, bulk ingestion,
-and the background refresh worker.
+"""The sharded corpus index, bulk ingestion, and the background refresh
+worker.
 
 The load-bearing claims, each with the test that can fail it:
 
-* sharded top-k retrieval returns EXACTLY the unsharded engine's hits --
-  same names, same order, scores equal with ``==`` (stronger than the
-  1e-9 the E21 bench asserts) -- for any shard count;
+* top-k retrieval at any shard count returns EXACTLY the hits of the
+  unpruned referee, ``SchemaSearchEngine`` over one ``SchemaIndex`` built
+  from the same fingerprints -- same names, same order, scores within
+  1e-9 (the tolerance E21 asserts; 0.0 observed);
 * ``bulk_register_schemas`` / ``bulk_ingest`` land the same repository
   state as a ``register()`` loop, just in fewer transactions;
 * the refresh worker keeps shards warm without ever being a correctness
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +30,13 @@ from repro.corpus import (
     CorpusRefreshWorker,
     RefreshWorkerStats,
     ShardStats,
-    ShardedCorpusIndex,
     bulk_ingest,
     iter_schema_payloads,
     shard_of_name,
 )
 from repro.repository import MetadataRepository
 from repro.schema.serialize import schema_from_dict, schema_to_dict
+from repro.search import SchemaIndex, SchemaQuery, SchemaSearchEngine
 from repro.service import MatchService
 from repro.service.requests import CorpusMatchRequest
 from repro.synthetic import generate_enterprise_corpus, generate_scaled_corpus
@@ -51,6 +53,26 @@ def repository(corpus):
     for name in corpus.names:
         repo.register(corpus.by_name(name).schema)
     return repo
+
+
+def _referee(repository, query, limit, exclude=None):
+    """Unpruned BM25 over ONE index of the repository's fingerprints."""
+    names = repository.schema_names()
+    fingerprints = repository.get_fingerprints(names)
+    index = SchemaIndex()
+    for name in names:
+        index.add_entry(name, Counter(fingerprints[name]["terms"]))
+    return SchemaSearchEngine(index).search(
+        SchemaQuery(query), limit=limit, exclude=exclude
+    )
+
+
+def _assert_same_hits(actual, expected):
+    assert [hit.schema_name for hit in actual] == [
+        hit.schema_name for hit in expected
+    ]
+    for got, want in zip(actual, expected):
+        assert abs(got.score - want.score) <= 1e-9
 
 
 def _renamed(corpus, source_name: str, new_name: str):
@@ -83,42 +105,46 @@ class TestShardOfName:
 
 
 class TestExactness:
-    """Sharded retrieval == unsharded retrieval, bit for bit."""
+    """Pruned, merged retrieval == the unpruned single-index referee."""
 
-    @pytest.mark.parametrize("n_shards", [1, 3, 8])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
     def test_scores_equal_the_unsharded_engine(self, corpus, repository, n_shards):
-        flat = CorpusIndex(repository)
-        sharded = ShardedCorpusIndex(repository, n_shards=n_shards)
+        index = CorpusIndex(repository, n_shards=n_shards)
+        index.refresh()
+        beyond_corpus = len(repository) + 10
         for query_name in corpus.names[::9]:
             query = corpus.by_name(query_name).schema
-            expected = flat.top_candidates(query, limit=8, exclude=query_name)
-            actual = sharded.top_candidates(query, limit=8, exclude=query_name)
-            assert [hit.schema_name for hit in actual] == [
-                hit.schema_name for hit in expected
-            ]
-            for got, want in zip(actual, expected):
-                assert got.score == want.score  # equality, not approx
+            for limit, exclude in (
+                (8, query_name),
+                (beyond_corpus, None),
+                (beyond_corpus, query_name),
+            ):
+                _assert_same_hits(
+                    index.top_candidates(query, limit=limit, exclude=exclude),
+                    _referee(repository, query, limit, exclude),
+                )
 
     def test_small_limits_and_exclude(self, corpus, repository):
-        flat = CorpusIndex(repository)
-        sharded = ShardedCorpusIndex(repository, n_shards=4)
+        index = CorpusIndex(repository, n_shards=4)
         query = corpus.by_name("D0S0").schema
         for limit in (1, 2, 30):
-            assert sharded.top_candidates(query, limit=limit) == flat.top_candidates(
-                query, limit=limit
+            _assert_same_hits(
+                index.top_candidates(query, limit=limit),
+                _referee(repository, query, limit),
             )
-        excluded = flat.top_candidates(query, limit=1)[0].schema_name
-        assert sharded.top_candidates(
-            query, limit=3, exclude=excluded
-        ) == flat.top_candidates(query, limit=3, exclude=excluded)
+        excluded = index.top_candidates(query, limit=1)[0].schema_name
+        _assert_same_hits(
+            index.top_candidates(query, limit=3, exclude=excluded),
+            _referee(repository, query, 3, excluded),
+        )
 
     def test_rejects_non_positive_limit(self, repository, corpus):
-        sharded = ShardedCorpusIndex(repository, n_shards=2)
+        sharded = CorpusIndex(repository, n_shards=2)
         with pytest.raises(ValueError):
             sharded.top_candidates(corpus.by_name("D0S0").schema, limit=0)
 
     def test_empty_repository_returns_nothing(self, corpus):
-        sharded = ShardedCorpusIndex(MetadataRepository(), n_shards=4)
+        sharded = CorpusIndex(MetadataRepository(), n_shards=4)
         assert sharded.top_candidates(corpus.by_name("D0S0").schema) == []
         assert len(sharded) == 0 and sharded.names == []
 
@@ -128,47 +154,25 @@ class TestExactness:
         repo = MetadataRepository()
         for generated in scaled.schemata:
             repo.register(generated.schema)
-        flat = CorpusIndex(repo)
-        sharded = ShardedCorpusIndex(repo, n_shards=6)
+        sharded = CorpusIndex(repo, n_shards=6)
+        sharded.refresh()
         for query_name in scaled.names[::17]:
             query = scaled.by_name(query_name).schema
-            assert sharded.top_candidates(
-                query, limit=5, exclude=query_name
-            ) == flat.top_candidates(query, limit=5, exclude=query_name)
+            _assert_same_hits(
+                sharded.top_candidates(query, limit=5, exclude=query_name),
+                _referee(repo, query, 5, query_name),
+            )
 
 
 class TestShardAssignment:
-    def test_domain_aware_override_stays_exact(self, corpus, repository):
-        # Route whole domains to shards: D<d>S<o> -> d mod n_shards.
-        def by_domain(name: str) -> int:
-            return int(name[1 : name.index("S")]) % 3
-
-        flat = CorpusIndex(repository)
-        sharded = ShardedCorpusIndex(repository, n_shards=3, shard_assign=by_domain)
-        query = corpus.by_name("D2S1").schema
-        assert sharded.top_candidates(query, limit=6) == flat.top_candidates(
-            query, limit=6
-        )
-        # Every member of one domain shares one shard.
-        assert {sharded.shard_of(n) for n in corpus.names if n.startswith("D4")} == {
-            by_domain("D4S0")
-        }
-
-    def test_out_of_range_assignment_is_an_error(self, repository):
-        sharded = ShardedCorpusIndex(
-            repository, n_shards=2, shard_assign=lambda name: 5
-        )
-        with pytest.raises(ValueError):
-            sharded.refresh()
-
     def test_rejects_non_positive_shard_count(self, repository):
         with pytest.raises(ValueError):
-            ShardedCorpusIndex(repository, n_shards=0)
+            CorpusIndex(repository, n_shards=0)
 
 
 class TestShardedLifecycle:
     def test_one_registration_rebuilds_one_shard(self, corpus, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=4)
+        sharded = CorpusIndex(repository, n_shards=4)
         sharded.refresh()
         before = [stats.n_refreshes for stats in sharded.shard_stats()]
         repository.register(_renamed(corpus, "D0S0", "ZNEWCOMER"))
@@ -179,25 +183,8 @@ class TestShardedLifecycle:
         rebuilt = [i for i in range(4) if after[i] > before[i]]
         assert rebuilt == [shard_of_name("ZNEWCOMER", 4)]
 
-    def test_refresh_shard_leaves_the_rest_stale(self, corpus, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=4)
-        sharded.refresh()
-        repository.register(_renamed(corpus, "D0S0", "ZNEWCOMER"))
-        target = shard_of_name("ZNEWCOMER", 4)
-        refresh = sharded.refresh_shard(target)
-        assert refresh.n_added == 1
-        assert sharded.is_stale()  # other shards still stamped older
-        assert set(sharded.stale_shards()) == set(range(4)) - {target}
-        sharded.refresh()
-        assert not sharded.is_stale()
-
-    def test_refresh_shard_validates_the_ordinal(self, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=2)
-        with pytest.raises(ValueError):
-            sharded.refresh_shard(2)
-
     def test_unregister_is_removed_from_its_shard(self, corpus, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=4)
+        sharded = CorpusIndex(repository, n_shards=4)
         sharded.refresh()
         repository.unregister("D0S0")
         refresh = sharded.refresh()
@@ -206,7 +193,7 @@ class TestShardedLifecycle:
         assert len(sharded) == len(repository)
 
     def test_monitoring_reads_never_refresh(self, corpus, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=4)
+        sharded = CorpusIndex(repository, n_shards=4)
         assert sharded.n_indexed() == 0        # nothing published yet
         assert all(s.n_indexed == 0 for s in sharded.shard_stats())
         sharded.refresh()
@@ -215,7 +202,7 @@ class TestShardedLifecycle:
         assert len(sharded) == 91              # len() refreshes first
 
     def test_shards_partition_the_corpus(self, corpus, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=5)
+        sharded = CorpusIndex(repository, n_shards=5)
         sharded.refresh()
         stats = sharded.shard_stats()
         assert sum(s.n_indexed for s in stats) == 90
@@ -321,7 +308,7 @@ class TestIngest:
 
 class TestRefreshWorker:
     def test_keeps_the_index_fresh(self, corpus, repository):
-        sharded = ShardedCorpusIndex(repository, n_shards=3)
+        sharded = CorpusIndex(repository, n_shards=3)
         worker = CorpusRefreshWorker(sharded, interval=0.05)
         worker.start()
         try:
@@ -340,7 +327,7 @@ class TestRefreshWorker:
         assert not worker.running
 
     def test_start_is_idempotent_and_stop_is_safe_twice(self, repository):
-        worker = CorpusRefreshWorker(ShardedCorpusIndex(repository), interval=0.1)
+        worker = CorpusRefreshWorker(CorpusIndex(repository), interval=0.1)
         assert worker.start() is worker.start()
         worker.stop()
         worker.stop()
@@ -369,7 +356,7 @@ class TestRefreshWorker:
 
     def test_rejects_non_positive_interval(self, repository):
         with pytest.raises(ValueError):
-            CorpusRefreshWorker(ShardedCorpusIndex(repository), interval=0)
+            CorpusRefreshWorker(CorpusIndex(repository), interval=0)
 
 
 class TestConcurrencyHammer:
@@ -379,7 +366,7 @@ class TestConcurrencyHammer:
         repo = MetadataRepository()
         for name in corpus.names[:45]:
             repo.register(corpus.by_name(name).schema)
-        sharded = ShardedCorpusIndex(repo, n_shards=4)
+        sharded = CorpusIndex(repo, n_shards=4)
         worker = CorpusRefreshWorker(sharded, interval=0.01)
         worker.start()
         errors: list[BaseException] = []
@@ -418,11 +405,11 @@ class TestConcurrencyHammer:
         # Convergence: the hammered index equals a from-scratch serial build.
         sharded.refresh()
         assert len(sharded) == len(repo) == 90
-        serial = CorpusIndex(repo)
         query = corpus.by_name("D0S0").schema
-        assert sharded.top_candidates(
-            query, limit=8, exclude="D0S0"
-        ) == serial.top_candidates(query, limit=8, exclude="D0S0")
+        _assert_same_hits(
+            sharded.top_candidates(query, limit=8, exclude="D0S0"),
+            _referee(repo, query, 8, "D0S0"),
+        )
 
 
 class TestStatsRoundTrips:
@@ -515,11 +502,12 @@ class TestServiceIntegration:
             service.stop_corpus_refresh()
         assert "refresh_worker" not in service.corpus_status()
 
-    def test_unsharded_service_status_has_no_shard_section(self, repository):
+    def test_default_service_status_has_one_shard(self, repository):
         service = MatchService(repository=repository)
         service.corpus_index().refresh()
         status = service.corpus_status()
-        assert status["initialized"] and "shards" not in status
+        assert status["initialized"] and status["n_shards"] == 1
+        assert [shard["n_indexed"] for shard in status["shards"]] == [90]
         assert status["n_indexed"] == 90
 
     def test_service_validates_corpus_shards(self, repository):
